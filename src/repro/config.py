@@ -141,8 +141,12 @@ class SystemConfig:
     def __post_init__(self):
         if self.n_pes <= 0:
             raise ValueError(f"n_pes must be positive, got {self.n_pes}")
-        if self.quantum <= 0:
-            raise ValueError(f"quantum must be positive, got {self.quantum}")
+        if not self.quantum > 0 or self.quantum % 1 != 0:
+            # Whole quanta keep the stall ledger's bulk charges exact
+            # (ProcessingElement.charge_blocked_quanta).
+            raise ValueError(
+                f"quantum must be a positive whole number of cycles, "
+                f"got {self.quantum}")
         if self.queue_mem_bytes < 64:
             raise ValueError(
                 f"queue memory of {self.queue_mem_bytes} bytes is too small")

@@ -28,9 +28,11 @@ shortcuts introduced (``ProcessingElement.can_progress``,
 ``DRM.can_progress``): a component is only put to sleep when that
 analysis proves the next quantum would charge stall cycles and nothing
 else. Whenever the proof fails — telemetry sinks or samplers could
-observe intermediate state, debts or non-integral quanta make bulk
-arithmetic inexact — the engine falls back to exact replay of the
-per-quantum loop, so results stay bit-identical by construction.
+observe intermediate state — the engine falls back to exact replay of
+the per-quantum loop, so results stay bit-identical by construction.
+Deferred stall charges are exact without a fallback: a carried debt is
+rolled forward quantum by quantum, and whole cycles are added with the
+rounding of the unit loop (:func:`repro.core.pe.add_units`).
 """
 
 from __future__ import annotations

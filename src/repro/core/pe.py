@@ -39,6 +39,31 @@ from repro.queues.queue_memory import QueueMemory
 from repro.stats.counters import Counters
 
 _EPS = 1e-9
+_EXACT_LIMIT = 2.0 ** 52
+
+
+def add_units(x: float, k: int, unit: float = 1.0) -> float:
+    """Return exactly the float that ``k`` repeated ``x += unit`` leave.
+
+    ``unit`` must be a positive whole number. Such sums are exact within
+    one binade of ``[1, 2**52)``, so each pass adds every step that stays
+    below the next power of two at once, then performs the one step
+    that may round (docs/performance.md): O(log x) additions in all.
+    """
+    while k > 0:
+        if not 1.0 <= x < _EXACT_LIMIT:
+            x += unit
+            k -= 1
+            continue
+        # Steps below top = 2**e: ceil((top - x) / unit) - 1, where
+        # ``x - top`` (Sterbenz) and float ``//`` are both exact.
+        below = -((x - math.ldexp(1.0, math.frexp(x)[1])) // unit) - 1.0
+        if k <= below:
+            return x + k * unit
+        x += below * unit
+        x += unit
+        k -= int(below) + 1
+    return x
 
 
 class StageLivelockError(Exception):
@@ -485,10 +510,8 @@ class ProcessingElement:
         Mirrors the naive per-cycle stall loop exactly: the naive loop
         subtracts 1.0 while ``remaining > _EPS``, so it takes
         ``ceil(remaining - _EPS)`` steps and may leave a fractional
-        debt. The bulk add is only taken when both ``now`` and the
-        bucket are integral (then ``x + k`` equals k unit increments
-        bit-for-bit); otherwise a tight replay loop preserves the exact
-        rounding of repeated ``+= 1.0``.
+        debt. :func:`add_units` applies those unit increments to the
+        clock and the bucket with the loop's exact rounding.
         """
         steps = math.ceil(remaining - _EPS)
         if self.probe is not None and "pe.stall" in self.probe.bus.wants:
@@ -504,19 +527,18 @@ class ProcessingElement:
                  "cycles": float(steps), "queue": blocked_queue})
         else:
             bucket = self._classify_blocked()
-        if self.now.is_integer() and self.counters[bucket].is_integer():
-            self.counters.add(bucket, float(steps))
-            self.now += float(steps)
-        else:
-            add = self.counters.add
-            for _ in range(steps):
-                add(bucket, 1.0)
-                self.now += 1.0
+        self._charge(bucket, steps)
         return remaining - float(steps)
+
+    def _charge(self, bucket: str, k: int, unit: float = 1.0) -> None:
+        """Apply ``k`` repeated ``+= unit`` to the clock and ``bucket``."""
+        counters = self.counters
+        counters[bucket] = add_units(counters[bucket], k, unit)
+        self.now = add_units(self.now, k, unit)
 
     def charge_blocked_quanta(self, n: int, quantum: float,
                               bucket: str) -> None:
-        """Repay ``n`` slept quanta of stall cycles to ``bucket``.
+        """Charge ``n`` quanta of stall cycles to ``bucket``.
 
         The event engine's deferred-stall ledger: while this PE slept,
         each quantum of the per-quantum loop would have charged the
@@ -525,70 +547,43 @@ class ProcessingElement:
         be recomputed here, because the queue activity that triggered
         the wake can already have flipped the classification.
 
-        Replicates :meth:`run_quantum`'s arithmetic exactly, including
-        the all-done fractional path, ``_stall_fast``'s ceil-and-debt
-        behavior, and the integrality guards that make the bulk adds
-        bit-identical to repeated unit increments.
+        Replicates :meth:`run_quantum`'s arithmetic exactly: quanta are
+        rolled forward one at a time while a debt is carried; after that
+        every quantum adds the same whole amount, charged in one step.
         """
-        if n <= 0:
-            return
-        quantum = float(quantum)
-        total = float(n) * quantum
-        if (self._debt == 0.0 and quantum.is_integer()
-                and self.now.is_integer()
-                and self.counters[bucket].is_integer()
-                and total.is_integer()):
-            self.counters.add(bucket, total)
-            self.now += total
-            return
         done = self.all_done()
-        for _ in range(n):
+        while n > 0 and self._debt != 0.0:
+            n -= 1
             remaining = quantum - self._debt
             self._debt = 0.0
+            self.stalled_full_quantum = remaining > _EPS
             if remaining <= _EPS:
                 # The naive loop body never runs: the carried debt ate
                 # the whole quantum (and any overshoot rolls forward).
-                if remaining < 0:
-                    self._debt = -remaining
-                continue
-            if done:
+                self._debt = max(0.0, -remaining)
+            elif done:
                 self.counters.add(bucket, remaining)
                 self.now += remaining
-                continue
-            steps = math.ceil(remaining - _EPS)
-            if self.now.is_integer() and self.counters[bucket].is_integer():
-                self.counters.add(bucket, float(steps))
-                self.now += float(steps)
             else:
-                add = self.counters.add
-                for _ in range(steps):
-                    add(bucket, 1.0)
-                    self.now += 1.0
-            leftover = remaining - float(steps)
-            if leftover < 0:
-                self._debt = -leftover
+                steps = math.ceil(remaining - _EPS)
+                self._charge(bucket, steps)
+                self._debt = max(0.0, steps - remaining)
+        if n > 0:
+            # A done PE adds whole quanta, a blocked one unit cycles.
+            self._charge(bucket, n if done else n * int(quantum),
+                         quantum if done else 1.0)
+            self.stalled_full_quantum = True
 
     def fast_forward_quanta(self, n: int, quantum: float) -> None:
         """Advance ``n`` quanta while the whole system is quiescent.
 
         Only called by :meth:`System._fast_forward` after proving no PE
         :meth:`can_progress`; each quantum would charge the full budget
-        to one unchanging stall bucket, so the accounting collapses to
-        a single bulk add when everything involved is integral.
+        to one unchanging stall bucket, and quiescent DRM slices are
+        no-ops, so the quanta are charged like a sleeping PE's ledger.
         """
-        if n <= 0:
-            return
         bucket = ("idle" if self.all_done() else self._classify_blocked())
-        total = float(n) * float(quantum)
-        if (self._debt == 0.0 and float(quantum).is_integer()
-                and self.now.is_integer()
-                and self.counters[bucket].is_integer()
-                and total.is_integer()):
-            self.counters.add(bucket, total)
-            self.now += total
-        else:
-            for _ in range(n):
-                self.run_quantum(quantum, fast=True)
+        self.charge_blocked_quanta(n, quantum, bucket)
 
     def _pick_next(self, current: Optional[StageInstance]):
         if not self.time_multiplex:

@@ -18,6 +18,9 @@ class TestSystemConfigValidation:
     def test_bad_quantum(self):
         with pytest.raises(ValueError):
             SystemConfig(quantum=0)
+        with pytest.raises(ValueError):
+            SystemConfig(quantum=1.5)
+        SystemConfig(quantum=64.0)  # whole, valid
 
     def test_tiny_queue_memory(self):
         with pytest.raises(ValueError):
