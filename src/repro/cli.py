@@ -69,7 +69,6 @@ import json
 import os
 import sys
 
-from repro.config import SystemConfig
 from repro.core import ENGINES
 from repro.env import EnvKnobError
 from repro.frontend import FRONTEND_KERNELS, get_frontend
@@ -165,11 +164,12 @@ def cmd_inputs(args) -> int:
 
 def _traceable_system(args):
     from repro.core import System
-    from repro.harness.run import (_build_cgra_program, _system_config,
-                                   prepare_input as prep)
-    prepared = prep(args.app, args.input, scale=args.scale, seed=args.seed)
-    config = _system_config(args.app, SystemConfig())
-    program, _ = _build_cgra_program(prepared, config, "fifer", "decoupled")
+    from repro.harness.run import (build_cgra_program, prepare_input,
+                                   resolve_config)
+    prepared = prepare_input(args.app, args.input, scale=args.scale,
+                             seed=args.seed)
+    config = resolve_config(args.app)
+    program, _ = build_cgra_program(prepared, config, "fifer", "decoupled")
     return System(config, program, mode="fifer")
 
 

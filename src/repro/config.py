@@ -142,8 +142,8 @@ class SystemConfig:
         if self.n_pes <= 0:
             raise ValueError(f"n_pes must be positive, got {self.n_pes}")
         if not self.quantum > 0 or self.quantum % 1 != 0:
-            # Whole quanta keep the stall ledger's bulk charges exact
-            # (ProcessingElement.charge_blocked_quanta).
+            # Whole quanta keep the fast-forward's bulk charges exact
+            # (ProcessingElement.fast_forward_quanta).
             raise ValueError(
                 f"quantum must be a positive whole number of cycles, "
                 f"got {self.quantum}")

@@ -107,11 +107,6 @@ class ProcessingElement:
         # Optional telemetry Probe (repro.stats.telemetry); None means
         # instrumentation is disabled and costs one attribute check.
         self.probe = None
-        # True when the last quantum was pure stall/idle (no execute,
-        # no reconfiguration progress). The event engine uses this as
-        # its cheap sleep-candidate filter: only PEs that just wasted a
-        # whole quantum are worth the full can_progress() proof.
-        self.stalled_full_quantum = False
 
     # -- construction ------------------------------------------------------
 
@@ -435,8 +430,6 @@ class ProcessingElement:
         drm_used = [drm.run(budget) for drm in self.drms]
         remaining = float(budget) - self._debt
         self._debt = 0.0
-        full = remaining
-        self.stalled_full_quantum = False
         guard = 0
         while remaining > _EPS:
             guard += 1
@@ -456,14 +449,12 @@ class ProcessingElement:
             if self.all_done():
                 self.counters.add("idle", remaining)
                 self.now += remaining
-                self.stalled_full_quantum = remaining == full
                 return
             stage = self.current
             if stage is None or not self.stage_runnable(stage):
                 nxt = self._pick_next(stage)
                 if nxt is None:
                     if fast:
-                        self.stalled_full_quantum = remaining == full
                         remaining = self._stall_fast(remaining)
                         continue
                     if (self.probe is not None
@@ -536,27 +527,23 @@ class ProcessingElement:
         counters[bucket] = add_units(counters[bucket], k, unit)
         self.now = add_units(self.now, k, unit)
 
-    def charge_blocked_quanta(self, n: int, quantum: float,
-                              bucket: str) -> None:
-        """Charge ``n`` quanta of stall cycles to ``bucket``.
+    def fast_forward_quanta(self, n: int, quantum: float) -> None:
+        """Advance ``n`` quanta while the whole system is quiescent.
 
-        The event engine's deferred-stall ledger: while this PE slept,
-        each quantum of the per-quantum loop would have charged the
-        whole budget (minus any carried debt) to one unchanging bucket.
-        ``bucket`` was captured when the PE went to sleep — it must not
-        be recomputed here, because the queue activity that triggered
-        the wake can already have flipped the classification.
-
-        Replicates :meth:`run_quantum`'s arithmetic exactly: quanta are
-        rolled forward one at a time while a debt is carried; after that
-        every quantum adds the same whole amount, charged in one step.
+        Only called by :meth:`System._fast_forward` after proving no PE
+        :meth:`can_progress`: each quantum would charge the whole budget
+        (minus any carried debt) to one unchanging stall bucket, and
+        quiescent DRM slices are no-ops. Replicates :meth:`run_quantum`'s
+        arithmetic exactly: quanta are rolled forward one at a time
+        while a debt is carried; after that every quantum adds the same
+        whole amount, charged in one step.
         """
         done = self.all_done()
+        bucket = "idle" if done else self._classify_blocked()
         while n > 0 and self._debt != 0.0:
             n -= 1
             remaining = quantum - self._debt
             self._debt = 0.0
-            self.stalled_full_quantum = remaining > _EPS
             if remaining <= _EPS:
                 # The naive loop body never runs: the carried debt ate
                 # the whole quantum (and any overshoot rolls forward).
@@ -572,18 +559,6 @@ class ProcessingElement:
             # A done PE adds whole quanta, a blocked one unit cycles.
             self._charge(bucket, n if done else n * int(quantum),
                          quantum if done else 1.0)
-            self.stalled_full_quantum = True
-
-    def fast_forward_quanta(self, n: int, quantum: float) -> None:
-        """Advance ``n`` quanta while the whole system is quiescent.
-
-        Only called by :meth:`System._fast_forward` after proving no PE
-        :meth:`can_progress`; each quantum would charge the full budget
-        to one unchanging stall bucket, and quiescent DRM slices are
-        no-ops, so the quanta are charged like a sleeping PE's ledger.
-        """
-        bucket = ("idle" if self.all_done() else self._classify_blocked())
-        self.charge_blocked_quanta(n, quantum, bucket)
 
     def _pick_next(self, current: Optional[StageInstance]):
         if not self.time_multiplex:

@@ -171,7 +171,27 @@ def build_cgra_program(prepared: PreparedInput, config: SystemConfig,
     prepared input and config produce equivalent programs, which is
     what lets the artifact cache (split plans, stage-DFG mappings)
     reuse products across runs."""
-    return _build_cgra_program(prepared, config, mode, variant)
+    app, data = prepared.app, prepared.data
+    if app in GRAPH_APPS:
+        module = get_workload(app)
+        if app == "prd":
+            return module.build(data, config, mode, variant,
+                                max_iterations=PRD_MAX_ITERATIONS)
+        if app == "radii":
+            return module.build(data, config, mode, variant,
+                                max_iterations=RADII_MAX_ITERATIONS)
+        return module.build(data, config, mode, variant)
+    if app == "spmm":
+        matrix, rows, cols = data
+        n_stages = 4 if variant == "decoupled" else 1
+        from repro.workloads.common import shards_for_mode
+        n_shards = shards_for_mode(config, mode, n_stages)
+        workload = spmm_mod.SpMMWorkload(matrix, n_shards, rows, cols)
+        return workload.build_program(config, mode, variant), workload
+    if app == "silo":
+        tree, ops = data
+        return silo_mod.build(tree, ops, config, mode, variant)
+    raise ValueError(app)
 
 
 def simulate_cgra(program, config: SystemConfig, mode: str,
@@ -205,36 +225,6 @@ def simulate_cgra(program, config: SystemConfig, mode: str,
     if profiler is not None:
         run_profile = profiler.finalize(raw.pe_counters, raw.cycles)
     return raw, run_profile
-
-
-# Backwards-compatible private aliases (pre-service callers).
-def _system_config(app: str, base: Optional[SystemConfig]) -> SystemConfig:
-    return resolve_config(app, base)
-
-
-def _build_cgra_program(prepared: PreparedInput, config: SystemConfig,
-                        mode: str, variant: str):
-    app, data = prepared.app, prepared.data
-    if app in GRAPH_APPS:
-        module = get_workload(app)
-        if app == "prd":
-            return module.build(data, config, mode, variant,
-                                max_iterations=PRD_MAX_ITERATIONS)
-        if app == "radii":
-            return module.build(data, config, mode, variant,
-                                max_iterations=RADII_MAX_ITERATIONS)
-        return module.build(data, config, mode, variant)
-    if app == "spmm":
-        matrix, rows, cols = data
-        n_stages = 4 if variant == "decoupled" else 1
-        from repro.workloads.common import shards_for_mode
-        n_shards = shards_for_mode(config, mode, n_stages)
-        workload = spmm_mod.SpMMWorkload(matrix, n_shards, rows, cols)
-        return workload.build_program(config, mode, variant), workload
-    if app == "silo":
-        tree, ops = data
-        return silo_mod.build(tree, ops, config, mode, variant)
-    raise ValueError(app)
 
 
 def _ooo_kernel(prepared: PreparedInput, n_cores: int):
@@ -298,8 +288,8 @@ def analyze_workload(app: str, input_code: str, system: str = "fifer",
         scale = default_scale(app, input_code)
     if prepared is None:
         prepared = prepare_input(app, input_code, scale=scale, seed=seed)
-    sys_config = _system_config(app, config)
-    program, _workload = _build_cgra_program(
+    sys_config = resolve_config(app, config)
+    program, _workload = build_cgra_program(
         prepared, sys_config, system, variant)
     return analyze_program(program, sys_config, mode=system)
 

@@ -1,20 +1,18 @@
-"""Differential suite: the fast and event engines must be cycle-exact.
+"""Differential suite: the fast engine must be cycle-exact.
 
 The fast engine (``engine="fast"``) bulk-charges blocked spans instead
-of ticking them cycle by cycle; the event engine (``engine="event"``)
-additionally sleeps provably blocked PEs on queue wake lists and
-settles their stall cycles lazily (docs/performance.md). These tests
-lock both down against the naive per-cycle reference: for every
-workload, final cycle counts, per-PE counters, CPI stacks, cache and
-memory statistics, functional results, and sampled telemetry series
-must be *identical* — not approximately equal — under all engines.
+of ticking them cycle by cycle and jumps quiescent systems to their
+deadlock/timeout horizon (docs/performance.md). These tests lock it
+down against the naive per-cycle reference: for every workload, final
+cycle counts, per-PE counters, CPI stacks, cache and memory
+statistics, functional results, and sampled telemetry series must be
+*identical* — not approximately equal — under both engines.
 
 Truncated runs matter as much as completed ones: a
 :class:`DeadlockError` or :class:`SimulationTimeout` raised mid-flight
-exercises the engines' finalize/clamping paths (the event engine must
-settle every sleeping PE's deferred-stall ledger before raising), so
-the suite also asserts that interrupted simulations leave bit-identical
-state and raise byte-identical reports.
+exercises the fast engine's horizon jump (every PE must be charged
+exactly up to the raise), so the suite also asserts that interrupted
+simulations leave bit-identical state and raise byte-identical reports.
 """
 
 import numpy as np
@@ -123,11 +121,10 @@ def test_codegen_matches_interpreted(app, code, scale, prepared_inputs):
 
 
 def test_sampled_series_identical(prepared_inputs):
-    """With a periodic sampler attached, the shortcut engines must
-    still visit every quantum boundary (the event engine falls back to
-    exact replay): the sampled time series (queue occupancies, PE
-    states, cumulative CPI stacks) match point for point, not just the
-    final totals."""
+    """With a periodic sampler attached, the fast engine must still
+    visit every quantum boundary: the sampled time series (queue
+    occupancies, PE states, cumulative CPI stacks) match point for
+    point, not just the final totals."""
     prepared = prepared_inputs[("bfs", "Hu")]
     samples = {}
     for engine in ENGINES:
@@ -137,7 +134,6 @@ def test_sampled_series_identical(prepared_inputs):
                        engine=engine, telemetry=bus)
         samples[engine] = sampler.samples
     assert samples["fast"] == samples["naive"]
-    assert samples["event"] == samples["naive"]
 
 
 def test_run_rejects_unknown_engine(prepared_inputs):
@@ -156,7 +152,7 @@ def test_system_run_default_engine_is_fast(prepared_inputs):
 
 def test_small_fabric_engines_identical(prepared_inputs):
     """A 4-PE fabric maximizes blocked time (stages contend for PEs),
-    the regime where the shortcut engines' stall paths do the most
+    the regime where the fast engine's stall paths do the most
     work."""
     prepared = prepared_inputs[("bfs", "Hu")]
     config = SystemConfig(n_pes=4)
@@ -166,19 +162,18 @@ def test_small_fabric_engines_identical(prepared_inputs):
     _assert_runs_identical({e: r.raw for e, r in runs.items()})
 
 
-def test_event_engine_reports_event_counts(prepared_inputs):
-    """The event engine exposes its event counts (quanta visited,
-    per-PE quanta actually stepped, sleeps/wakes, quanta slept
-    through, quanta jumped) so benchmarks can report work done
-    alongside wall time."""
+def test_fast_engine_reports_work_counts(prepared_inputs):
+    """The fast engine exposes its work counts (quanta visited, per-PE
+    quanta stepped, quanta jumped) so benchmarks can report work done
+    alongside wall time. A completed run never jumps."""
     res = run_experiment("bfs", "Hu", "static",
                          prepared=prepared_inputs[("bfs", "Hu")],
-                         engine="event")
+                         engine="fast")
     stats = res.raw.engine_stats
-    assert {"quanta", "pe_quanta", "sleeps", "wakes", "slept_quanta",
-            "jumped_quanta"} <= set(stats)
-    assert stats["pe_quanta"] + stats["slept_quanta"] > 0
-    assert stats["sleeps"] >= stats["wakes"]
+    assert {"quanta", "pe_quanta", "jumped_quanta"} <= set(stats)
+    n_pes = len(res.raw.pe_counters)
+    assert stats["pe_quanta"] == stats["quanta"] * n_pes > 0
+    assert stats["jumped_quanta"] == 0
 
 
 # -- truncated runs: deadlock/timeout mid-flight --------------------------
@@ -200,10 +195,11 @@ def _source_dfg(name, out_q):
     return b.finish()
 
 
-def _truncatable_program(n_items, sink_consumes=True):
+def _truncatable_program(n_items, sink_consumes=True, **program_kw):
     """Producer/consumer pair; with ``sink_consumes=False`` the sink
     waits on a queue nothing feeds, so the run deadlocks once the
-    shared queue fills."""
+    shared queue fills. ``program_kw`` goes to :class:`Program` (e.g.
+    a ``control_poll`` and its ``control_poll_idle`` certificate)."""
     space = AddressSpace()
     seen = []
 
@@ -234,30 +230,46 @@ def _truncatable_program(n_items, sink_consumes=True):
                       consumer_fn),
         ])
     return Program("trunc", [pe], space, MemoryMap(),
-                   result_fn=lambda: list(seen))
+                   result_fn=lambda: list(seen), **program_kw)
 
 
-def _truncated_state(engine, *, n_items, sink_consumes, config,
-                     max_cycles, expect):
+def _run_truncated(engine, *, n_items, sink_consumes, config,
+                   max_cycles, expect, **program_kw):
     """Run to the expected mid-flight exception; return the system's
-    complete observable state at the moment of the raise."""
-    program = _truncatable_program(n_items, sink_consumes=sink_consumes)
+    complete observable state at the moment of the raise, and the
+    engine's work counts."""
+    program = _truncatable_program(n_items, sink_consumes=sink_consumes,
+                                   **program_kw)
     system = System(config, program, mode="fifer")
     with pytest.raises(expect) as excinfo:
         system.run(max_cycles=max_cycles, engine=engine)
-    return {
+    state = {
         "cycle": system.cycle,
         "counters": [pe.counters.as_dict() for pe in system.pes],
         "queues": {name: (len(q), q.occupancy_words, q.total_enqueued)
                    for name, q in system.queues.items()},
         "message": str(excinfo.value),
     }
+    return state, system.engine_stats
+
+
+def _truncated_state(engine, **kwargs):
+    return _run_truncated(engine, **kwargs)[0]
+
+
+def _wedged_runs(**program_kw):
+    """Deadlock the stuck-sink program under every engine."""
+    config = SystemConfig(n_pes=1, deadlock_quanta=200)
+    return {engine: _run_truncated(
+        engine, n_items=5, sink_consumes=False, config=config,
+        max_cycles=None, expect=DeadlockError, **program_kw)
+        for engine in ENGINES}
 
 
 class TestTruncatedRuns:
     """Interrupted simulations leave identical state under every
-    engine: the deferred-stall ledgers and horizon jumps must clamp
-    and settle exactly at the raise."""
+    engine: the fast engine's horizon jumps must charge every PE
+    exactly up to the raise."""
 
     def test_deadlock_state_identical(self):
         config = SystemConfig(n_pes=1, deadlock_quanta=20)
@@ -265,7 +277,6 @@ class TestTruncatedRuns:
             engine, n_items=5, sink_consumes=False, config=config,
             max_cycles=None, expect=DeadlockError) for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     def test_timeout_state_identical(self):
         config = SystemConfig(n_pes=1)
@@ -274,13 +285,11 @@ class TestTruncatedRuns:
             max_cycles=640, expect=SimulationTimeout)
             for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     def test_timeout_through_quiescence_jump_identical(self):
         """With the deadlock horizon far out and a nearer cycle limit,
-        a fully blocked system must time out — the event engine takes
-        its jump path (every PE asleep), the fast engine its
-        fast-forward, the naive engine ticks there; all three must
+        a fully blocked system must time out — the fast engine takes
+        its fast-forward, the naive engine ticks there; both must
         agree to the cycle."""
         config = SystemConfig(n_pes=1, deadlock_quanta=100_000)
         states = {engine: _truncated_state(
@@ -288,13 +297,12 @@ class TestTruncatedRuns:
             max_cycles=50_000, expect=SimulationTimeout)
             for engine in ENGINES}
         assert states["fast"] == states["naive"]
-        assert states["event"] == states["naive"]
 
     @pytest.mark.parametrize("max_cycles", [1_000, 2_500])
     def test_workload_timeout_state_identical(self, max_cycles,
                                               prepared_inputs):
         """A real workload interrupted mid-flight (PEs mid-quantum,
-        some possibly asleep) reports identical cycles and timeout
+        some possibly blocked) reports identical cycles and timeout
         text under every engine."""
         prepared = prepared_inputs[("bfs", "Hu")]
         messages = {}
@@ -304,4 +312,28 @@ class TestTruncatedRuns:
                                engine=engine, max_cycles=max_cycles)
             messages[engine] = str(excinfo.value)
         assert messages["fast"] == messages["naive"]
-        assert messages["event"] == messages["naive"]
+
+    def test_certified_idle_control_core_is_jumped(self):
+        """An installed control core does not pin the fast engine to
+        per-quantum stepping once its ``control_poll_idle`` certificate
+        holds: the wedged system is jumped to its deadlock horizon and
+        ends in the naive engine's exact state."""
+        runs = _wedged_runs(control_poll=lambda system: None,
+                            control_poll_idle=lambda system: True)
+        (fast, fast_stats), (naive, naive_stats) = runs["fast"], runs["naive"]
+        assert fast == naive
+        assert fast_stats["jumped_quanta"] > 0
+        assert fast_stats["quanta"] < naive_stats["quanta"]
+
+    def test_uncertified_control_core_is_stepped(self):
+        """Without a certificate the control core is a black box: the
+        fast engine visits every quantum so the poll keeps running,
+        although the same wedged program without a control core is
+        jumped."""
+        runs = _wedged_runs(control_poll=lambda system: None,
+                            control_poll_idle=None)
+        (fast, fast_stats), (naive, naive_stats) = runs["fast"], runs["naive"]
+        assert fast == naive
+        assert fast_stats["jumped_quanta"] == 0
+        assert fast_stats["quanta"] == naive_stats["quanta"]
+        assert _wedged_runs()["fast"][1]["jumped_quanta"] > 0

@@ -154,7 +154,7 @@ def case_fails(case: dict) -> dict | None:
     """Run engines x codegen; return {label: fingerprint} on mismatch.
 
     The property crosses every engine with both execution paths
-    (interpreted coroutines and compiled step-functions): all six
+    (interpreted coroutines and compiled step-functions): all four
     fingerprints must be identical, including on truncated runs, where
     a codegen stage's ``stage.pending`` request must clamp exactly
     like the interpreter's.

@@ -89,6 +89,8 @@ class TestSpec:
                 {"app": "bfs", "input_code": "Hu", "system": "fifer",
                  "engine": "warp"},
                 {"app": "bfs", "input_code": "Hu", "system": "fifer",
+                 "engine": "event"},
+                {"app": "bfs", "input_code": "Hu", "system": "fifer",
                  "scale": -1},
                 {"app": "bfs", "input_code": "Hu", "system": "fifer",
                  "turbo": True},
@@ -225,8 +227,8 @@ class TestServiceEndpoints:
 
 
 @pytest.mark.parametrize("app,engine", [
-    ("bfs", "fast"), ("bfs", "event"),
-    ("sssp", "fast"), ("sssp", "event"),
+    ("bfs", "fast"), ("bfs", "naive"),
+    ("sssp", "fast"), ("sssp", "naive"),
 ])
 def test_differential_byte_identity(service, app, engine):
     """cold (server-computed) == warm (cache replay) == local CLI path."""

@@ -148,7 +148,7 @@ def _spy_stall_fast(monkeypatch):
 @pytest.mark.parametrize("speedup", [1.5, 3.0])
 def test_fractional_clock_engines_identical(speedup):
     states = {}
-    for engine in ("naive", "fast", "event"):
+    for engine in ("naive", "fast"):
         system = System(_config(speedup), _stuck_program(), mode="fifer")
         with pytest.raises(DeadlockError):
             system.run(engine=engine)
@@ -156,7 +156,6 @@ def test_fractional_clock_engines_identical(speedup):
         states[engine] = (system.cycle, pe.now, pe._debt,
                           pe.counters.as_dict())
     assert states["fast"] == states["naive"]
-    assert states["event"] == states["naive"]
     # The clock went fractional and a debt is carried through the
     # deadlock fast-forward (the per-quantum roll-forward path).
     _, now, debt, _ = states["naive"]
