@@ -6,8 +6,7 @@ reused once it is keyed by content (:mod:`repro.cache.content`). The
 :class:`ArtifactCache` layers two stores:
 
 * an **in-memory** map serving every repeat compile within a process
-  (the long-running experiment service compiles each kernel once,
-  ever);
+  (a sweep worker compiles each kernel once);
 * an optional **on-disk** store under ``<root>/artifacts/<code>/``
   serving repeat compiles across processes (CLI invocations,
   benchmark reruns). Entries are namespaced by :func:`code_version`,
@@ -220,7 +219,7 @@ def get_artifact_cache() -> ArtifactCache:
 
 
 def configure_artifact_cache(root) -> ArtifactCache:
-    """Point the process-global cache at ``root`` (e.g. server startup).
+    """Point the process-global cache at ``root`` (``repro cache``).
 
     Replaces the global instance; in-memory contents of the previous
     instance are dropped (they remain correct but re-warm on demand).

@@ -329,7 +329,7 @@ def run_experiment(app: str, input_code: str, system: str,
     ``on_phase`` is an optional callable fired with a phase name as the
     run advances — ``"preparing"`` (only when the input is generated
     here), ``"compiling"``, ``"simulating"``, ``"verifying"`` — used by
-    the experiment service to stream progress; it never affects the
+    ``perfbench/run.py --trace 1`` to time phases; it never affects the
     result.
     """
     from repro.core import ENGINES

@@ -9,20 +9,23 @@ Locks the tentpole properties of :mod:`repro.cache`:
   function — changes its fingerprint, so the cache misses instead of
   serving a stale plan;
 * the disk layer survives process boundaries (modeled as fresh cache
-  instances), tolerates corruption, and namespaces by code version.
+  instances), tolerates corruption, and namespaces by code version;
+* ``repro cache stats|gc`` reports and prunes that disk layer.
 """
 
+import json
+
 import numpy as np
-import pytest
 
 from repro.cache import (ArtifactCache, callable_fingerprint,
-                         code_version, dataset_digest, kernel_fingerprint,
-                         mapping_key)
+                         code_version, configure_artifact_cache,
+                         kernel_fingerprint, mapping_key)
 from repro.cgra import FabricSpec, map_dfg, map_dfg_cached
 from repro.config import FabricConfig
 from repro.frontend.kernel import GraphKernel
 from repro.frontend.kernels import bfs_kernel, cc_kernel, sssp_kernel
 from repro.frontend.lower import compile_kernel
+from repro.harness import run_experiment
 from repro.ir import DFGBuilder
 
 
@@ -112,14 +115,6 @@ class TestFingerprints:
                 != mapping_key(_dfg(), small, None))
         assert (mapping_key(_dfg(), fabric, 2)
                 != mapping_key(_dfg(), fabric, None))
-
-    def test_dataset_digest_tracks_coordinates(self):
-        base = dataset_digest("bfs", "Hu", 0.35, 1)
-        assert base == dataset_digest("bfs", "Hu", 0.35, 1)
-        assert base != dataset_digest("bfs", "Hu", 0.35, 2)
-        assert base != dataset_digest("bfs", "Hu", 0.36, 1)
-        assert base != dataset_digest("bfs", "Dy", 0.35, 1)
-        assert base != dataset_digest("cc", "Hu", 0.35, 1)
 
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
@@ -254,7 +249,6 @@ class TestCompileReuse:
 class TestDescribeCached:
     def test_describe_cached_matches_direct(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.cache import configure_artifact_cache
         from repro.frontend import describe_cached, get_frontend
         cache = configure_artifact_cache(tmp_path)
         try:
@@ -267,5 +261,28 @@ class TestDescribeCached:
             fresh = configure_artifact_cache(tmp_path)
             assert describe_cached("sssp") == direct
             assert fresh.counters["describe.disk_hit"] == 1
+        finally:
+            configure_artifact_cache(None)
+
+
+class TestCacheVerb:
+    def test_stats_and_gc_all(self, tmp_path, capsys):
+        from repro.cli import main
+        configure_artifact_cache(tmp_path)
+        try:
+            # the fabric mappings of one built program land on disk
+            run_experiment("bfs", "Hu", "fifer", scale=0.05)
+
+            def cache_verb(*args):
+                assert main(["cache", *args,
+                             "--cache-dir", str(tmp_path)]) == 0
+                return json.loads(capsys.readouterr().out)
+
+            stats = cache_verb("stats")
+            assert "results" not in stats
+            assert stats["artifacts"]["disk"]["entries"] > 0
+            cache_verb("gc", "--all")
+            after = cache_verb("stats")
+            assert after["artifacts"]["disk"]["entries"] == 0
         finally:
             configure_artifact_cache(None)

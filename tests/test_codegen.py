@@ -130,9 +130,10 @@ class TestCaching:
         assert fresh.counters["codegen.disk_hit"] == 1
 
     def test_warm_bind_generates_nothing(self, bfs_prepared, monkeypatch):
-        """After one codegen run, rebinding (the warm service-submit
-        path) must not emit source: the raising stub proves neither the
-        artifact cache nor the factory cache falls through."""
+        """After one codegen run, rebinding (a repeat run in the same
+        process, e.g. the next point of a sweep worker) must not emit
+        source: the raising stub proves neither the artifact cache nor
+        the factory cache falls through."""
         run_experiment("bfs", "Hu", "fifer", prepared=bfs_prepared,
                        codegen=True)
         def boom(_shape):

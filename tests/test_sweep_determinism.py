@@ -6,7 +6,8 @@ hence identical manifest modulo the volatile keys (wall time,
 timestamp). These tests lock that down for single runs, for repeated
 runs in one process, and for the sweep runner across worker counts —
 ``run_sweep`` must produce the same merged ``sweep.json`` byte for
-byte whether it ran inline or on a process pool.
+byte whether it ran inline or on a process pool. A point that fails
+raises out of ``run_sweep`` instead of yielding a partial sweep.
 """
 
 import json
@@ -89,3 +90,14 @@ def test_load_manifests_skips_sweep_document(tmp_path):
     manifests = load_manifests(tmp_path)
     assert len(manifests) == 2
     assert all(m.get("kind") != "sweep" for m in manifests)
+
+
+def test_failing_point_raises_out_of_sweep():
+    # an unknown variant passes SweepPoint construction but explodes in
+    # the workload build, i.e. deep inside the worker
+    poisoned = SweepPoint("bfs", "Hu", "fifer", variant="bogus",
+                          scale=_SCALE)
+    good = SweepPoint("bfs", "Hu", "fifer", scale=_SCALE)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="bogus"):
+            run_sweep([good, poisoned], workers=workers)
